@@ -180,35 +180,18 @@ func (r *Registry) Names() []string {
 }
 
 // ScoreAll enumerates the candidates of class c in f and scores each
-// exactly with the given metric ("" = default). Tuples whose score is
-// NaN (undefined) are dropped. The result is sorted by descending
-// score with a deterministic tie-break on the attribute tuple.
+// exactly with the given metric ("" = default), batch by batch for a
+// BatchScorer. Tuples whose score is NaN (undefined) are dropped. The
+// result is sorted by descending score with a deterministic tie-break
+// on the attribute tuple.
 func ScoreAll(c Class, f *frame.Frame, metric string) []Insight {
-	var out []Insight
-	for _, attrs := range c.Candidates(f) {
-		in, err := c.Score(f, attrs, metric)
-		if err != nil || math.IsNaN(in.Score) {
-			continue
-		}
-		out = append(out, in)
-	}
-	SortInsights(out)
-	return out
+	return scoreAll(c, f, nil, metric, false)
 }
 
 // ScoreAllApprox is ScoreAll over the sketch store. Candidate
 // enumeration still needs the frame schema.
 func ScoreAllApprox(c Class, f *frame.Frame, p *sketch.DatasetProfile, metric string) []Insight {
-	var out []Insight
-	for _, attrs := range c.Candidates(f) {
-		in, err := c.ScoreApprox(p, attrs, metric)
-		if err != nil || math.IsNaN(in.Score) {
-			continue
-		}
-		out = append(out, in)
-	}
-	SortInsights(out)
-	return out
+	return scoreAll(c, f, p, metric, true)
 }
 
 // SortInsights orders insights by descending score, breaking ties by

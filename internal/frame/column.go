@@ -10,6 +10,9 @@ package frame
 import (
 	"fmt"
 	"math"
+	"sync"
+
+	"foresight/internal/stats"
 )
 
 // Kind identifies the logical type of a column.
@@ -58,6 +61,9 @@ type NumericColumn struct {
 	name    string
 	values  []float64
 	missing int
+
+	ranksOnce sync.Once
+	ranks     []float64
 }
 
 // NewNumericColumn builds a numeric column over values. The slice is
@@ -116,6 +122,20 @@ func (c *NumericColumn) Present() []float64 {
 
 // At returns the value of cell i (possibly NaN).
 func (c *NumericColumn) At(i int) float64 { return c.values[i] }
+
+// Ranks returns the fractional ranks of the column's values
+// (stats.Ranks: 1-based, ties averaged), computed on first use and
+// kept with the column, which never changes. Exact Spearman scoring
+// ranks each column once instead of once per pair. Columns with
+// missing cells return nil: their ranks depend on which rows the other
+// column of a pair also has, so callers rank per pair.
+func (c *NumericColumn) Ranks() []float64 {
+	if c.missing > 0 {
+		return nil
+	}
+	c.ranksOnce.Do(func() { c.ranks = stats.Ranks(c.values) })
+	return c.ranks
+}
 
 // CategoricalColumn is a dictionary-encoded string column. codes[i] is
 // an index into dict, or -1 for a missing cell.

@@ -183,9 +183,10 @@ func (sc *scoreCache) lookupAll(gen uint64, class, metric string, approx bool, c
 // scoreCandidates returns one scored slot per candidate tuple, in
 // candidate order (scoring errors become zero-value slots with NaN
 // score, recognizable by an empty Class). Slots are served from the
-// memo when possible; misses are scored with the engine's worker pool
-// and published, and concurrent duplicate scoring of the same key is
-// collapsed by waiting on the in-flight owner instead of recomputing.
+// memo when possible; misses are scored in class batches with the
+// engine's worker pool and published, and concurrent duplicate scoring
+// of the same key is collapsed by waiting on the in-flight owner
+// instead of recomputing.
 //
 // Scoring runs entirely against the caller's snapshot. If the memo's
 // generation has moved past the snapshot's (an ingest or SetProfile
@@ -196,9 +197,9 @@ func (sc *scoreCache) lookupAll(gen uint64, class, metric string, approx bool, c
 // The context bounds the whole batch: scoring stops dispatching and
 // singleflight waits unblock as soon as ctx is done, returning
 // ctx.Err(). Whatever was scored before the cutoff is already in the
-// memo. A panicking scorer abandons this call's unfinished slots
-// (waking cross-request waiters) before the panic propagates to the
-// caller.
+// memo. A panicking scorer abandons this call's unfinished slots —
+// every slot of its batch, and of batches not yet run — waking
+// cross-request waiters before the panic propagates to the caller.
 func (e *Engine) scoreCandidates(ctx context.Context, snap snapshot, c core.Class, cands [][]string, approx bool, metric string) ([]core.Insight, error) {
 	sc := e.cache
 	sc.mu.Lock()
@@ -256,53 +257,69 @@ func (e *Engine) scoreCandidates(ctx context.Context, snap snapshot, c core.Clas
 		}
 	}()
 
-	err := runParallel(ctx, e.Workers(), len(owned), func(j int) {
-		e.inflightScores.Add(1)
-		defer e.inflightScores.Add(-1)
-		i := owned[j]
-		in := scoreOne(c, snap.frame, snap.profile, cands[i], approx, metric)
-		out[i] = in
-		sl := slots[i]
-		sl.in = in
-		close(sl.done)
+	ownedCands := make([][]string, len(owned))
+	for j, i := range owned {
+		ownedCands[j] = cands[i]
+	}
+	err := e.scoreBatches(ctx, snap, c, ownedCands, approx, metric, func(start int, ins []core.Insight) {
+		for j, in := range ins {
+			i := owned[start+j]
+			out[i] = in
+			slots[i].in = in
+			close(slots[i].done)
+		}
 		sc.mu.Lock()
 		// Publish only into the generation the computation started in;
 		// results that straddle an invalidation are returned to their
 		// callers but never pollute the new generation.
 		if sc.gen == gen {
-			sc.entries[keys[i]] = in
-			delete(sc.inflight, keys[i])
+			for j := range ins {
+				k := keys[owned[start+j]]
+				sc.entries[k] = ins[j]
+				delete(sc.inflight, k)
+			}
 		}
 		sc.mu.Unlock()
 	})
 	if err != nil {
 		return nil, err
 	}
+	var rescore []int
 	for _, i := range waiting {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-slots[i].done:
 		}
-		sl := slots[i]
-		if !sl.abandoned {
+		if sl := slots[i]; !sl.abandoned {
 			out[i] = sl.in
 			continue
 		}
-		// The owner gave up before scoring this key (cancelled or
-		// panicked); score it here rather than trusting anyone else to.
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		rescore = append(rescore, i)
+	}
+	if len(rescore) == 0 {
+		return out, nil
+	}
+	// The owners gave up before scoring these keys (cancelled or
+	// panicked); score them here rather than trusting anyone else to.
+	rescoreCands := make([][]string, len(rescore))
+	for j, i := range rescore {
+		rescoreCands[j] = cands[i]
+	}
+	err = e.scoreBatches(ctx, snap, c, rescoreCands, approx, metric, func(start int, ins []core.Insight) {
+		for j, in := range ins {
+			out[rescore[start+j]] = in
 		}
-		e.inflightScores.Add(1)
-		in := scoreOne(c, snap.frame, snap.profile, cands[i], approx, metric)
-		e.inflightScores.Add(-1)
-		out[i] = in
 		sc.mu.Lock()
 		if sc.gen == gen {
-			sc.entries[keys[i]] = in
+			for j := range ins {
+				sc.entries[keys[rescore[start+j]]] = ins[j]
+			}
 		}
 		sc.mu.Unlock()
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

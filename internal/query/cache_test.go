@@ -253,10 +253,18 @@ func (c *countingClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, me
 // queries and asserts each candidate was scored exactly once: the
 // memo plus the in-flight map collapse the thundering herd.
 func TestCacheSingleflight(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			testCacheSingleflight(t, batched)
+		})
+	}
+}
+
+func testCacheSingleflight(t *testing.T, batched bool) {
 	f := testFrame(200, 33)
 	reg := core.NewEmptyRegistry()
 	cc := &countingClass{delay: 2 * time.Millisecond}
-	if err := reg.Register(cc); err != nil {
+	if err := reg.Register(maybeBatching(cc, batched)); err != nil {
 		t.Fatal(err)
 	}
 	e, err := NewEngine(f, reg, nil)

@@ -23,6 +23,10 @@ type gateClass struct {
 	calls     atomic.Int64
 	gate      chan struct{}
 	blockAttr string
+	// panicOnce, when set, makes the first Score of that attr panic;
+	// later Scores of it succeed.
+	panicOnce string
+	panicked  atomic.Bool
 }
 
 func (c *gateClass) Name() string          { return "gated" }
@@ -41,6 +45,9 @@ func (c *gateClass) Score(f *frame.Frame, attrs []string, metric string) (core.I
 	c.calls.Add(1)
 	if c.gate != nil && attrs[0] == c.blockAttr {
 		<-c.gate
+	}
+	if attrs[0] == c.panicOnce && c.panicked.CompareAndSwap(false, true) {
+		panic("gated scorer exploded on " + attrs[0])
 	}
 	return core.Insight{
 		Class: "gated", Metric: "len", Attrs: attrs,
@@ -82,11 +89,13 @@ func (c *panicClass) ScoreApprox(p *sketch.DatasetProfile, attrs []string, metri
 	return c.Score(nil, attrs, metric)
 }
 
-func gatedEngine(t *testing.T, gc *gateClass) *Engine {
+// testEngineFor returns an engine over testFrame(100, 7) whose only
+// class is c.
+func testEngineFor(t *testing.T, c core.Class) *Engine {
 	t.Helper()
 	f := testFrame(100, 7)
 	reg := core.NewEmptyRegistry()
-	if err := reg.Register(gc); err != nil {
+	if err := reg.Register(c); err != nil {
 		t.Fatal(err)
 	}
 	e, err := NewEngine(f, reg, nil)
@@ -112,7 +121,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // scoring anything, and count one cancellation.
 func TestExecuteContextPreCancelled(t *testing.T) {
 	gc := &gateClass{}
-	e := gatedEngine(t, gc)
+	e := testEngineFor(t, gc)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := e.ExecuteContext(ctx, Query{})
@@ -170,8 +179,15 @@ func TestRunParallelCancelStopsDispatch(t *testing.T) {
 // waiter with a deadline returns DeadlineExceeded while the owner is
 // still scoring, instead of blocking on the owner's done channel.
 func TestSingleflightWaiterUnblocksOnCtxExpiry(t *testing.T) {
-	gc := &gateClass{gate: make(chan struct{}), blockAttr: "a"}
-	e := gatedEngine(t, gc)
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			gc := &gateClass{gate: make(chan struct{}), blockAttr: "a"}
+			testSingleflightWaiterUnblocks(t, gc, testEngineFor(t, maybeBatching(gc, batched)))
+		})
+	}
+}
+
+func testSingleflightWaiterUnblocks(t *testing.T, gc *gateClass, e *Engine) {
 
 	ownerDone := make(chan error, 1)
 	go func() {
@@ -203,9 +219,20 @@ func TestSingleflightWaiterUnblocksOnCtxExpiry(t *testing.T) {
 // An owner that gets cancelled mid-batch abandons its unscored slots;
 // waiters are woken and score those candidates themselves rather than
 // hanging or inheriting nothing.
+//
+// Batched, cancellation stops between batches: the owner finishes the
+// gated batch (a, b, c) it was inside, and the waiter rescores only the
+// batches never started. Either way every candidate is scored once.
 func TestAbandonedSlotsRescoredByWaiter(t *testing.T) {
-	gc := &gateClass{gate: make(chan struct{}), blockAttr: "a"}
-	e := gatedEngine(t, gc)
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			gc := &gateClass{gate: make(chan struct{}), blockAttr: "a"}
+			testAbandonedSlotsRescored(t, gc, testEngineFor(t, maybeBatching(gc, batched)), batched)
+		})
+	}
+}
+
+func testAbandonedSlotsRescored(t *testing.T, gc *gateClass, e *Engine, batched bool) {
 	nCands := len((&gateClass{}).Candidates(e.Frame()))
 	if nCands < 2 {
 		t.Fatalf("test frame has %d numeric columns, need ≥ 2", nCands)
@@ -244,10 +271,18 @@ func TestAbandonedSlotsRescoredByWaiter(t *testing.T) {
 	if len(waiterRes) != 1 || len(waiterRes[0].Insights) != nCands {
 		t.Fatalf("waiter results = %+v, want all %d candidates", waiterRes, nCands)
 	}
-	// Owner scored exactly one candidate (the gated one) before the
-	// cancellation; the waiter rescored the abandoned rest.
+	// Owner scored exactly its first unit of work (the gated candidate,
+	// or the gated batch) before the cancellation; the waiter rescored
+	// the abandoned rest.
+	ownerScored := 1
+	if batched {
+		ownerScored = len(batchOf(e, "a"))
+	}
 	if n := gc.calls.Load(); n != int64(nCands) {
-		t.Errorf("total Score calls = %d, want %d (1 owner + %d waiter rescores)", n, nCands, nCands-1)
+		t.Errorf("total Score calls = %d, want %d (%d owner + %d waiter rescores)", n, nCands, ownerScored, nCands-ownerScored)
+	}
+	if got := e.CacheStats().Entries; got != nCands {
+		t.Errorf("memo entries = %d, want %d", got, nCands)
 	}
 	// Nothing left dangling for future requests.
 	if _, err := e.Execute(Query{}); err != nil {
@@ -257,66 +292,87 @@ func TestAbandonedSlotsRescoredByWaiter(t *testing.T) {
 
 // A panicking scorer propagates to the caller (per request), leaves
 // the engine serviceable, and never wedges the singleflight map.
+//
+// The batched subtests panic on the second candidate of the batch
+// (a, b, c), after the first has been scored.
 func TestScorerPanicIsolation(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			f := testFrame(100, 7)
-			reg := core.NewEmptyRegistry()
-			if err := reg.Register(&panicClass{panicAttr: "b"}); err != nil {
-				t.Fatal(err)
+	for _, batched := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("workers=%d", workers)
+			if batched {
+				name = "batched," + name
 			}
-			if err := reg.Register(&gateClass{}); err != nil {
-				t.Fatal(err)
-			}
-			e, err := NewEngine(f, reg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.SetWorkers(workers)
-
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatal("expected the scorer panic to reach the caller")
-					}
-					if !strings.Contains(fmt.Sprint(r), "scorer exploded") {
-						t.Fatalf("panic value %v lost the original message", r)
-					}
-				}()
-				_, _ = e.ExecuteContext(context.Background(), Query{Classes: []string{"panicky"}})
-			}()
-
-			// The engine survives: other classes keep scoring, and the
-			// in-flight map was cleaned up (a second panicky query panics
-			// again rather than hanging on an orphaned slot).
-			res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"gated"}})
-			if err != nil || len(res) != 1 {
-				t.Fatalf("post-panic query: res=%v err=%v", res, err)
-			}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				defer func() { _ = recover() }()
-				_, _ = e.ExecuteContext(context.Background(), Query{Classes: []string{"panicky"}})
-			}()
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatal("second panicky query hung on an orphaned singleflight slot")
-			}
-			waitFor(t, "worker pool to drain", func() bool { return e.ScoringInflight() == 0 })
-		})
+			t.Run(name, func(t *testing.T) {
+				testScorerPanicIsolation(t, maybeBatching(&panicClass{panicAttr: "b"}, batched), workers)
+			})
+		}
 	}
+}
+
+func testScorerPanicIsolation(t *testing.T, panicky core.Class, workers int) {
+	f := testFrame(100, 7)
+	reg := core.NewEmptyRegistry()
+	if err := reg.Register(panicky); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register(&gateClass{}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(f, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetWorkers(workers)
+
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("expected the scorer panic to reach the caller")
+			}
+			if !strings.Contains(fmt.Sprint(r), "scorer exploded") {
+				t.Fatalf("panic value %v lost the original message", r)
+			}
+		}()
+		_, _ = e.ExecuteContext(context.Background(), Query{Classes: []string{"panicky"}})
+	}()
+
+	// The engine survives: other classes keep scoring, and the
+	// in-flight map was cleaned up (a second panicky query panics
+	// again rather than hanging on an orphaned slot).
+	res, err := e.ExecuteContext(context.Background(), Query{Classes: []string{"gated"}})
+	if err != nil || len(res) != 1 {
+		t.Fatalf("post-panic query: res=%v err=%v", res, err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { _ = recover() }()
+		_, _ = e.ExecuteContext(context.Background(), Query{Classes: []string{"panicky"}})
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("second panicky query hung on an orphaned singleflight slot")
+	}
+	waitFor(t, "worker pool to drain", func() bool { return e.ScoringInflight() == 0 })
 }
 
 // Abandoning concurrent requests drains the worker pool and counts
 // every cancellation — the E11 property at unit-test scale.
 func TestAbandonedRequestsDrainWorkers(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			testAbandonedRequestsDrain(t, batched)
+		})
+	}
+}
+
+func testAbandonedRequestsDrain(t *testing.T, batched bool) {
 	f := testFrame(200, 11)
 	reg := core.NewEmptyRegistry()
 	cc := &countingClass{delay: 10 * time.Millisecond}
-	if err := reg.Register(cc); err != nil {
+	if err := reg.Register(maybeBatching(cc, batched)); err != nil {
 		t.Fatal(err)
 	}
 	e, err := NewEngine(f, reg, nil)

@@ -23,7 +23,10 @@ import (
 // barrier), so parallelism is purely a throughput knob. Execute and
 // Overview both route their scoring loops through this pool (via the
 // memo in cache.go), so SetWorkers applies to carousels, ad-hoc
-// queries, and heat maps alike.
+// queries, and heat maps alike. The unit of work is a batch: a run of
+// consecutive candidates that a core.BatchScorer scores together
+// (segmentation's categorical z's of one (x, y) pair share their
+// pairwise distances); every other class's batch is one candidate.
 //
 // The pool is also where cancellation and panic isolation live:
 // runParallel stops dispatching work the moment its context is done
@@ -90,13 +93,15 @@ func (p *poolPanic) String() string {
 }
 
 // runParallel applies fn to every index in [0, n) using up to the
-// given number of worker goroutines. Small batches run sequentially:
-// below two indices per worker the pool costs more than it saves.
+// given number of worker goroutines. Small inputs run sequentially:
+// below two indices per worker the pool costs more than it saves. The
+// scoring paths index class batches (see scoreBatches), so n counts
+// batches, not candidates.
 //
 // Dispatch is context-aware: once ctx is done no further index is
 // started (indices already running finish — cancellation granularity
-// is one candidate), and the context error is returned so callers can
-// mark the batch partial. A panic in fn is recovered in the worker,
+// is one batch), and the context error is returned so callers can
+// mark the request partial. A panic in fn is recovered in the worker,
 // dispatch stops, remaining workers drain, and the panic is re-raised
 // on the calling goroutine once the pool has quiesced; the other
 // workers' completed slots stay valid.
@@ -153,34 +158,49 @@ feed:
 	return ctx.Err()
 }
 
-// scoreOne scores a single candidate tuple, folding scoring errors
-// into a zero-value slot with NaN score (empty Class marks the error;
-// callers filter). This is the unit of work both the worker pool and
-// the memo operate on.
-func scoreOne(c core.Class, f *frame.Frame, p *sketch.DatasetProfile, attrs []string, approx bool, metric string) core.Insight {
-	var in core.Insight
-	var err error
-	if approx {
-		in, err = c.ScoreApprox(p, attrs, metric)
-	} else {
-		in, err = c.Score(f, attrs, metric)
+// scoreBatch scores one batch of candidates (a run that core.BatchEnds
+// groups; a single candidate for classes without batching), folding
+// scoring errors into zero-value slots with NaN score (empty Class
+// marks the error; callers filter). A batch is the unit of work the
+// worker pool runs.
+func scoreBatch(c core.Class, f *frame.Frame, p *sketch.DatasetProfile, batch [][]string, approx bool, metric string) []core.Insight {
+	ins, errs := core.ScoreBatch(c, f, p, batch, metric, approx)
+	for i, err := range errs {
+		if err != nil {
+			ins[i] = core.Insight{Score: math.NaN()}
+		}
 	}
-	if err != nil {
-		return core.Insight{Score: math.NaN()}
-	}
-	return in
+	return ins
+}
+
+// scoreBatches scores cands with the engine's worker pool, one class
+// batch per unit of work, and hands each finished batch to done with
+// the offset of its first candidate in cands. done runs on the worker
+// that scored the batch, so it must be safe for concurrent use across
+// distinct batches. A panicking batch never reaches done. On
+// cancellation the batches not yet started are skipped and the
+// context error is returned.
+func (e *Engine) scoreBatches(ctx context.Context, snap snapshot, c core.Class, cands [][]string, approx bool, metric string, done func(start int, ins []core.Insight)) error {
+	ends := core.BatchEnds(c, cands)
+	return runParallel(ctx, e.Workers(), len(ends), func(b int) {
+		start := 0
+		if b > 0 {
+			start = ends[b-1]
+		}
+		batch := cands[start:ends[b]]
+		e.inflightScores.Add(int64(len(batch)))
+		defer e.inflightScores.Add(-int64(len(batch)))
+		done(start, scoreBatch(c, snap.frame, snap.profile, batch, approx, metric))
+	})
 }
 
 // scoreCandidatesParallel scores every candidate tuple of the snapshot
 // with the engine's worker pool, bypassing the memo (one slot per
-// candidate). On cancellation the unscored suffix is left as
-// zero-value slots and the context error is returned.
+// candidate). On cancellation it returns only the context error.
 func (e *Engine) scoreCandidatesParallel(ctx context.Context, snap snapshot, c core.Class, cands [][]string, approx bool, metric string) ([]core.Insight, error) {
 	out := make([]core.Insight, len(cands))
-	err := runParallel(ctx, e.Workers(), len(cands), func(i int) {
-		e.inflightScores.Add(1)
-		defer e.inflightScores.Add(-1)
-		out[i] = scoreOne(c, snap.frame, snap.profile, cands[i], approx, metric)
+	err := e.scoreBatches(ctx, snap, c, cands, approx, metric, func(start int, ins []core.Insight) {
+		copy(out[start:], ins)
 	})
 	if err != nil {
 		return nil, err

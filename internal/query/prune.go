@@ -178,7 +178,10 @@ func (e *Engine) scoreCandidatesPruned(ctx context.Context, snap snapshot, c cor
 	// order (index-ascending on ties, so the pass is deterministic),
 	// in chunks sized for the worker pool, re-reading the threshold
 	// between chunks. Bounds are sorted descending and the threshold
-	// only rises, so the first bound below it ends the whole pass.
+	// only rises, so the first bound below it ends the whole pass. A
+	// chunk holds 2×workers class batches (core.BatchEnds), never a
+	// split one: counting candidates instead would cut segmentation's
+	// batches apart and leave too few for the pool to run in parallel.
 	order := make([]int, 0, len(cands))
 	for i := range cands {
 		if !have[i] {
@@ -196,15 +199,21 @@ func (e *Engine) scoreCandidatesPruned(ctx context.Context, snap snapshot, c cor
 		if bounds[order[pos]] < t {
 			break
 		}
-		end := pos + 1
-		for end < len(order) && end-pos < chunk && bounds[order[end]] >= t {
+		end, batches := pos+1, 1
+		for end < len(order) && bounds[order[end]] >= t {
+			if !core.SameBatch(c, cands[order[end-1]], cands[order[end]]) {
+				if batches == chunk {
+					break
+				}
+				batches++
+			}
 			end++
 		}
-		batch := make([][]string, 0, end-pos)
+		chunkCands := make([][]string, 0, end-pos)
 		for _, i := range order[pos:end] {
-			batch = append(batch, cands[i])
+			chunkCands = append(chunkCands, cands[i])
 		}
-		scored, err := e.scoreCandidates(ctx, snap, c, batch, q.Approx, metric)
+		scored, err := e.scoreCandidates(ctx, snap, c, chunkCands, q.Approx, metric)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -116,6 +116,37 @@ func TestSpaceSavingWeightedAndEviction(t *testing.T) {
 	}
 }
 
+// Tied minimum counters must be evicted by a fixed rule, not by Go's
+// randomized map iteration: twenty builds over one Zipf stream keep
+// the same counters with the same counts and error bounds.
+func TestSpaceSavingEvictionDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	z := rand.NewZipf(rng, 1.4, 1, 999)
+	stream := make([]string, 5000)
+	for i := range stream {
+		stream[i] = fmt.Sprintf("item%d", z.Uint64())
+	}
+	build := func() []HeavyHitter {
+		s := NewSpaceSaving(64)
+		for _, item := range stream {
+			s.Update(item)
+		}
+		return s.Top(0)
+	}
+	want := build()
+	for run := 1; run < 20; run++ {
+		got := build()
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d counters, want %d", run, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: counter %d = %+v, want %+v", run, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestSpaceSavingUpdateBytes(t *testing.T) {
 	s := NewSpaceSaving(2)
 	buf := []byte("a")

@@ -86,7 +86,10 @@ func (s *SpaceSaving) UpdateWeighted(item string, weight uint64) {
 }
 
 // admit inserts an untracked item, evicting the minimum counter (and
-// inheriting its count as the error bound) when at capacity.
+// inheriting its count as the error bound) when at capacity. Tied
+// minima evict the largest item, so the victim never depends on map
+// iteration order and two builds over one stream agree; it is also the
+// counter Merge's (count desc, item asc) trim would drop first.
 func (s *SpaceSaving) admit(item string, weight uint64) {
 	if len(s.counters) < s.capacity {
 		s.counters[item] = &ssCounter{item: item, count: weight}
@@ -94,7 +97,7 @@ func (s *SpaceSaving) admit(item string, weight uint64) {
 	}
 	var min *ssCounter
 	for _, c := range s.counters {
-		if min == nil || c.count < min.count {
+		if min == nil || c.count < min.count || (c.count == min.count && c.item > min.item) {
 			min = c
 		}
 	}

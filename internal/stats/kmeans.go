@@ -188,7 +188,8 @@ func sq(x float64) float64 { return x * x }
 // mean intra-cluster distance and b the mean distance to the nearest
 // other cluster. Values near 1 indicate strong segmentation. Points
 // assigned a negative cluster are skipped. O(n²); callers should
-// sample large inputs first.
+// sample large inputs first. This map-based form is the reference
+// implementation: GroupSilhouettes must reproduce its bits.
 func Silhouette(pts []Point2, assign []int) float64 {
 	n := len(pts)
 	if n != len(assign) || n < 2 {
@@ -253,19 +254,4 @@ func Silhouette(pts []Point2, assign []int) float64 {
 
 func dist(p, q Point2) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
-// GroupSilhouette measures how well a categorical attribute segments a
-// set of 2-D points: the silhouette of the grouping induced by codes
-// (negative codes skipped). It is Foresight's segmentation metric.
-func GroupSilhouette(pts []Point2, codes []int32) float64 {
-	assign := make([]int, len(pts))
-	for i := range pts {
-		if i < len(codes) {
-			assign[i] = int(codes[i])
-		} else {
-			assign[i] = -1
-		}
-	}
-	return Silhouette(pts, assign)
 }
