@@ -77,14 +77,13 @@ func runReport(args []string) error {
 }
 
 // runProfile implements `foresight profile`: build and persist a
-// sketch store, optionally partitioned.
+// sketch store, optionally sharded.
 func runProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	data := fs.String("data", "", "CSV path or demo dataset name")
 	out := fs.String("out", "", "output profile path")
 	k := fs.Int("k", 0, "hyperplane directions (0 = log²n)")
-	parts := fs.Int("parts", 1, "row partitions (demonstrates mergeable sketches)")
-	shards := fs.Int("shards", 0, "parallel build shards (0 = sequential, <0 = GOMAXPROCS); mutually exclusive with -parts")
+	shards := fs.Int("shards", 0, "parallel build shards (0 = sequential, <0 = GOMAXPROCS)")
 	spearman := fs.Bool("spearman", true, "build rank projections for Spearman estimates")
 	workers := fs.Int("workers", 1, "parallel workers")
 	seed := fs.Int64("seed", 42, "seed")
@@ -97,17 +96,7 @@ func runProfile(args []string) error {
 		return fmt.Errorf("profile needs -out")
 	}
 	cfg := foresight.ProfileConfig{K: *k, Seed: *seed, Spearman: *spearman, Workers: *workers}
-	var p *foresight.Profile
-	switch {
-	case *parts > 1 && *shards != 0:
-		return fmt.Errorf("profile: -parts and -shards are mutually exclusive")
-	case *parts > 1:
-		p = foresight.BuildProfilePartitioned(f, cfg, *parts)
-	case *shards != 0:
-		p = foresight.BuildProfileSharded(f, cfg, *shards)
-	default:
-		p = foresight.BuildProfile(f, cfg)
-	}
+	p := foresight.BuildProfileSharded(f, cfg, *shards)
 	file, err := os.Create(*out)
 	if err != nil {
 		return err

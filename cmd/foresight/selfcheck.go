@@ -16,7 +16,7 @@ import (
 // runSelfcheck executes the sketch invariant suite against live
 // profiles of -data: ground-truth checks for every per-column sketch,
 // persist→load and Clone query identity, and cross-checks of the
-// partitioned/sharded/extend build paths against the sequential build
+// chained-append/sharded/extend build paths against the sequential build
 // within -tol. With -profile it instead verifies an already-persisted
 // sketch store against the dataset it claims to summarize. It then
 // cross-checks the pruning contract — ScoreBound ≥ Score on sampled
@@ -28,7 +28,6 @@ func runSelfcheck(args []string) error {
 	fs := flag.NewFlagSet("selfcheck", flag.ExitOnError)
 	data := fs.String("data", "", "CSV path or demo dataset name")
 	profilePath := fs.String("profile", "", "verify this saved sketch store instead of building fresh")
-	parts := fs.Int("parts", 3, "partitions for the partitioned-build path")
 	shards := fs.Int("shards", 4, "shards for the sharded-build and extend paths")
 	tol := fs.Float64("tol", 0.07, "estimator-delta gate between build paths (the E13 gate)")
 	boundSample := fs.Int("bound-sample", 64, "candidates sampled per class/metric for the ScoreBound ≥ Score gate (0 = all)")
@@ -60,7 +59,6 @@ func runSelfcheck(args []string) error {
 	} else {
 		r = sketchcheck.Run(f, sketchcheck.Config{
 			Profile:  sketch.ProfileConfig{Seed: *seed},
-			Parts:    *parts,
 			Shards:   *shards,
 			ScoreTol: *tol,
 		})

@@ -1,10 +1,10 @@
 // Streaming preprocessing: §3 of the paper builds on *mergeable*
 // sketches — per-partition summaries that combine into a summary of
-// the whole. This example preprocesses a large table in four row
-// partitions (as a chunked loader or four shards would), merges the
-// partial sketch stores, persists the result, reloads it in a "new
-// session", and answers insight queries without ever touching the raw
-// data again.
+// the whole. This example preprocesses a large table as four row
+// shards built concurrently (as a chunked loader or four workers
+// would), merges the partial sketch stores, persists the result,
+// reloads it in a "new session", and answers insight queries without
+// ever touching the raw data again.
 package main
 
 import (
@@ -27,10 +27,10 @@ func main() {
 	// generous width when the store feeds recommendations directly.
 	cfg := foresight.ProfileConfig{Seed: 1, K: 384}
 
-	// 1. Partitioned preprocessing: four partial sketch passes, merged.
+	// 1. Sharded preprocessing: four partial sketch passes, merged.
 	start := time.Now()
-	profile := foresight.BuildProfilePartitioned(f, cfg, 4)
-	fmt.Printf("partitioned preprocessing (4 chunks): %v\n", time.Since(start).Round(time.Millisecond))
+	profile := foresight.BuildProfileSharded(f, cfg, 4)
+	fmt.Printf("sharded preprocessing (4 shards): %v\n", time.Since(start).Round(time.Millisecond))
 
 	// 2. Persist the store — preprocessing happens once per dataset.
 	var store bytes.Buffer

@@ -161,24 +161,19 @@ func NewHeavyHittersClassWithK(k int) Class { return core.NewHeavyHittersClass(k
 func NewNormalityClass() Class { return core.NewNormalityClass() }
 
 // BuildProfile preprocesses a Frame into the sketch store that powers
-// approximate (interactive-speed) insight queries.
+// approximate (interactive-speed) insight queries. It is
+// BuildProfileSharded with one shard.
 func BuildProfile(f *Frame, cfg ProfileConfig) *Profile { return sketch.BuildProfile(f, cfg) }
 
-// BuildProfilePartitioned preprocesses in `parts` row partitions and
-// merges the partial sketches — §3's mergeable-sketch pipeline.
-// Functionally equivalent to BuildProfile (rank projections excepted;
-// see the sketch package docs).
-func BuildProfilePartitioned(f *Frame, cfg ProfileConfig, parts int) *Profile {
-	return sketch.BuildProfilePartitioned(f, cfg, parts)
-}
-
 // BuildProfileSharded preprocesses with `shards` row shards built
-// concurrently and reduced through the mergeable-sketch operators in
-// a deterministic tree order — the data-parallel fast path for large
-// frames. Exact statistics match BuildProfile; sketch-derived scores
-// agree within sketch error (benchmarked in EXPERIMENTS.md E13). 0 or
-// 1 delegates to BuildProfile (bit-identical); negative selects
-// GOMAXPROCS.
+// concurrently and reduced through §3's mergeable-sketch operators in
+// a deterministic tree order — the data-parallel path for large
+// frames. 0 or 1 is BuildProfile; negative selects GOMAXPROCS. Frames
+// of at most one 4,096-row direction block never split, so they build
+// byte-identically at every shard count; on larger frames exact
+// statistics match BuildProfile and sketch-derived scores agree within
+// sketch error (benchmarked in EXPERIMENTS.md E13). Appends extend a
+// profile through the same builder (Profile.Extend).
 func BuildProfileSharded(f *Frame, cfg ProfileConfig, shards int) *Profile {
 	return sketch.BuildProfileSharded(f, cfg, shards)
 }

@@ -71,12 +71,11 @@ func (e *Engine) Ingest(ctx context.Context, batch frame.RowBatch, opts *frame.R
 	var p2 *sketch.DatasetProfile
 	if snap.profile != nil {
 		endDelta := obs.StartSpan(ctx, "ingest:delta")
-		newRows := f2.Rows() - snap.frame.Rows()
-		if shards := e.BuildShards(); shards != 0 && newRows >= shardedIngestMinRows {
-			p2, err = snap.profile.ExtendSharded(f2, shards)
-		} else {
-			p2, err = snap.profile.Extend(f2)
+		shards := e.BuildShards()
+		if f2.Rows()-snap.frame.Rows() < shardedIngestMinRows {
+			shards = 0
 		}
+		p2, err = snap.profile.Extend(f2, shards)
 		endDelta()
 		if err != nil {
 			return IngestResult{}, err

@@ -39,7 +39,7 @@ func TestIngestShardedLargeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := profile.Extend(f2)
+	seq, err := profile.Extend(f2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestIngestShardedSmallBatchStaysSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := profile.Extend(f2)
+	seq, err := profile.Extend(f2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestProfileBuildMetrics(t *testing.T) {
 
 	_, _, body := fetch(t, ts.URL+"/metrics")
 	for _, want := range []string{
-		`foresight_profile_build_seconds_count{phase="build.sharded"}`,
+		`foresight_profile_build_seconds_count{phase="build"}`,
 		`foresight_profile_build_seconds_count{phase="build.shard"}`,
 		`foresight_profile_build_seconds_count{phase="build.project"}`,
 		`foresight_profile_build_seconds_count{phase="build.merge"}`,

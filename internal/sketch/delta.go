@@ -8,9 +8,9 @@ import (
 )
 
 // Incremental extension: the payoff of §3's mergeable sketches. When
-// rows are appended to a profiled dataset, a partial profile over
-// just the new rows folds into the existing store via Merge — no
-// rescan of the old rows. The only global state that cannot extend
+// rows are appended to a profiled dataset, a partial profile over just
+// the new rows (buildRange) folds into the existing store via Merge —
+// no rescan of the old rows. The only global state that cannot extend
 // incrementally is rebuilt from the new frame directly: the shared
 // row sample and per-column gathers (they index global rows), the
 // categorical dictionaries (appends can introduce new labels), and
@@ -71,34 +71,19 @@ func cloneReservoir(s *Reservoir) *Reservoir {
 // Extend returns a new profile covering f, which must extend the
 // profiled frame in place: the same columns, with rows [p.Rows,
 // f.Rows()) newly appended (Frame.AppendRows produces exactly this
-// shape). The new rows are profiled with the partition builder —
-// centered on the stored build-time projection centers so the partial
-// stays merge-compatible — and folded into a deep copy of p; the
-// receiver is never mutated, so concurrent readers holding p keep a
-// consistent store. Rank (Spearman) projections are dropped from the
-// result: ranks are a global transform that cannot be extended
-// row-incrementally.
-func (p *DatasetProfile) Extend(f *frame.Frame) (*DatasetProfile, error) {
+// shape). The new rows are profiled by the range builder — centered on
+// the stored build-time projection centers so the partial stays
+// merge-compatible — and folded into a deep copy of p; the receiver is
+// never mutated, so concurrent readers holding p keep a consistent
+// store. Shard counts follow the uniform convention: 0 or 1 builds the
+// delta sequentially, negative means GOMAXPROCS; appends spanning at
+// most one direction block never split. Rank (Spearman) projections
+// are dropped from the result: ranks are a global transform that
+// cannot be extended row-incrementally.
+func (p *DatasetProfile) Extend(f *frame.Frame, shards int) (*DatasetProfile, error) {
 	defer observeSince("extend", time.Now())
-	return p.extend(f, 1)
-}
-
-// ExtendSharded is Extend with the delta profile over the appended
-// rows built by the sharded data-parallel path (BuildProfileSharded's
-// machinery), worthwhile for large batch appends. Shard counts follow
-// the uniform convention: 0 or 1 is the sequential delta build —
-// identical to Extend — and negative means GOMAXPROCS. Appends
-// spanning at most one direction block fall back to the sequential
-// delta regardless.
-func (p *DatasetProfile) ExtendSharded(f *frame.Frame, shards int) (*DatasetProfile, error) {
-	defer observeSince("extend.sharded", time.Now())
-	return p.extend(f, resolveShards(shards))
-}
-
-func (p *DatasetProfile) extend(f *frame.Frame, shards int) (*DatasetProfile, error) {
-	old := p.Rows
-	if f.Rows() < old {
-		return nil, fmt.Errorf("sketch: extend: frame has %d rows, profile covers %d", f.Rows(), old)
+	if f.Rows() < p.Rows {
+		return nil, fmt.Errorf("sketch: extend: frame has %d rows, profile covers %d", f.Rows(), p.Rows)
 	}
 	numeric := f.NumericColumns()
 	categorical := f.CategoricalColumns()
@@ -106,13 +91,13 @@ func (p *DatasetProfile) extend(f *frame.Frame, shards int) (*DatasetProfile, er
 		return nil, fmt.Errorf("sketch: extend: frame has %d numeric + %d categorical columns, profile has %d + %d",
 			len(numeric), len(categorical), len(p.Numeric), len(p.Categorical))
 	}
-	centers := make(map[string]float64, len(numeric))
-	for _, nc := range numeric {
+	centers := make([]float64, len(numeric))
+	for i, nc := range numeric {
 		np, ok := p.Numeric[nc.Name()]
 		if !ok {
 			return nil, fmt.Errorf("sketch: extend: no profile for numeric column %q", nc.Name())
 		}
-		centers[nc.Name()] = np.ProjCenter
+		centers[i] = np.ProjCenter
 	}
 	for _, cc := range categorical {
 		if _, ok := p.Categorical[cc.Name()]; !ok {
@@ -126,33 +111,10 @@ func (p *DatasetProfile) extend(f *frame.Frame, shards int) (*DatasetProfile, er
 	for _, np := range out.Numeric {
 		np.RankProj, np.RankPlanes = nil, nil
 	}
-	if f.Rows() == old {
-		return out, nil
-	}
-
-	cfg := out.Config
-	cfg.Spearman = false
-	var delta *DatasetProfile
-	if shards > 1 {
-		delta = shardedPartial(f, cfg, old, f.Rows(), centers, shards)
-	} else {
-		delta = buildPartitionProfile(f, cfg, old, f.Rows(), centers)
-	}
-	if err := out.Merge(delta); err != nil {
+	shards = resolveShards(shards)
+	if err := out.Merge(buildRange(f, out.Config, p.Rows, f.Rows(), shards, centers)); err != nil {
 		return nil, err
 	}
-
-	// Rebuild the global state that indexes or labels the whole frame.
-	out.RowSample = NewRowSample(f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
-	for _, nc := range numeric {
-		out.Numeric[nc.Name()].RowSampleValues = out.RowSample.GatherFloats(nc.Values())
-	}
-	for _, cc := range categorical {
-		cp := out.Categorical[cc.Name()]
-		cp.RowSampleCodes = out.RowSample.GatherCodes(cc.Codes())
-		cp.Cardinality = cc.Cardinality()
-		cp.Dict = append([]string(nil), cc.Dict()...)
-	}
-	out.Rows = f.Rows()
+	out.indexRows(f, shards)
 	return out, nil
 }

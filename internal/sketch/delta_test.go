@@ -165,7 +165,7 @@ func TestKLLMergeChain(t *testing.T) {
 // TestProfileExtendMatchesScratch is the delta path's equivalence
 // check: profile a prefix, Extend to the full frame, and the result
 // must answer like a from-scratch profile within the same tolerances
-// the partitioned builder is held to.
+// the sharded builder is held to.
 func TestProfileExtendMatchesScratch(t *testing.T) {
 	f := testFrame(12000, 41)
 	keep := make([]bool, f.Rows())
@@ -179,7 +179,7 @@ func TestProfileExtendMatchesScratch(t *testing.T) {
 	cfg := ProfileConfig{Seed: 6, K: 256}
 	p := BuildProfile(base, cfg)
 	baseRows := p.Rows
-	ext, err := p.Extend(f)
+	ext, err := p.Extend(f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestProfileExtendErrors(t *testing.T) {
 	}
 	p := BuildProfile(f, ProfileConfig{Seed: 1, K: 32})
 	// Fewer rows than profiled.
-	if _, err := p.Extend(base); err == nil {
+	if _, err := p.Extend(base, 0); err == nil {
 		t.Error("extending onto a smaller frame should fail")
 	}
 	// Column set mismatch.
@@ -276,12 +276,12 @@ func TestProfileExtendErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Extend(sub); err == nil {
+	if _, err := p.Extend(sub, 0); err == nil {
 		t.Error("extending onto a narrower frame should fail")
 	}
 	// Same row count returns a working clone.
 	p2 := BuildProfile(base, ProfileConfig{Seed: 1, K: 32})
-	same, err := p2.Extend(base)
+	same, err := p2.Extend(base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

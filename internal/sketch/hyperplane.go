@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 )
 
 // Projection is the random-projection sketch of one centered column:
@@ -191,50 +192,125 @@ func KForRows(n int) int {
 // calls are comparable. Cost: O(d·n·k) multiply-adds plus O(n·k)
 // Gaussian draws; memory O(BlockRows·k + d·k).
 func ProjectColumns(cols [][]float64, means []float64, rows int, cfg ProjectConfig) []*Projection {
+	return projectRanges(cols, means, [][2]int{{0, rows}}, cfg)[0]
+}
+
+// gaussBlock is one row block of the shared Gaussian direction
+// stream: nb·K row-major float32 draws covering global rows
+// [start, start+nb). The buffer is pooled; the consumer returns it
+// after accumulating.
+type gaussBlock struct {
+	start int
+	nb    int
+	buf   *[]float32
+}
+
+// projectRanges is the projection kernel. For every row range in
+// bounds (ascending and disjoint, interior boundaries on BlockRows
+// multiples) it returns the per-column Projections of that range's
+// rows, as out[range][column]. The direction of global row r depends
+// only on (cfg.Seed, cfg.K, r), so projections of disjoint ranges sum
+// to the projection of their union up to floating-point associativity.
+//
+// One producer goroutine generates direction blocks in stream order
+// from a single rng (determinism) and routes each block to the one
+// range that owns it; blocks before the first range are drawn only to
+// keep the stream aligned. One consumer per range accumulates its
+// blocks, fanning the columns out over cfg.Workers. Generation
+// (~n·k Gaussian draws) pipelines with accumulation (~n·k·d
+// multiply-adds), so wall time approaches max(generate,
+// accumulate/ranges) instead of their sum. Within a range, every
+// column accumulates rows in ascending order whatever the worker
+// count, so results are identical at any cfg.Workers.
+func projectRanges(cols [][]float64, means []float64, bounds [][2]int, cfg ProjectConfig) [][]*Projection {
 	cfg.fill()
 	d := len(cols)
-	out := make([]*Projection, d)
-	for j := range out {
-		out[j] = &Projection{Dots: make([]float64, cfg.K), Rows: rows, Seed: cfg.Seed}
+	out := make([][]*Projection, len(bounds))
+	for p, b := range bounds {
+		out[p] = make([]*Projection, d)
+		for j := range out[p] {
+			out[p][j] = &Projection{Dots: make([]float64, cfg.K), Rows: b[1] - b[0], Seed: cfg.Seed}
+		}
 	}
-	if d == 0 || rows == 0 {
+	if d == 0 || len(bounds) == 0 {
 		return out
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	block := make([]float32, cfg.BlockRows*cfg.K)
-	for start := 0; start < rows; start += cfg.BlockRows {
-		end := start + cfg.BlockRows
-		if end > rows {
-			end = rows
-		}
-		nb := end - start
-		for i := 0; i < nb*cfg.K; i++ {
-			block[i] = float32(rng.NormFloat64())
-		}
-		eachColumn(d, cfg.Workers, func(j int) {
-			col := cols[j]
-			dots := out[j].Dots
-			mean := means[j]
-			for r := 0; r < nb; r++ {
-				idx := start + r
-				if idx >= len(col) {
-					break
-				}
-				v := col[idx]
-				if math.IsNaN(v) {
-					continue // mean-imputed: centered value is 0
-				}
-				v -= mean
-				if v == 0 {
-					continue
-				}
-				g := block[r*cfg.K : (r+1)*cfg.K]
-				for q, gv := range g {
-					dots[q] += v * float64(gv)
-				}
-			}
-		})
+	lo, hi := bounds[0][0], bounds[len(bounds)-1][1]
+	if hi <= lo {
+		return out
 	}
+
+	pool := sync.Pool{New: func() any {
+		s := make([]float32, cfg.BlockRows*cfg.K)
+		return &s
+	}}
+	chans := make([]chan gaussBlock, len(bounds))
+	for p := range chans {
+		// Small buffer: lets the producer run ahead a little without
+		// letting memory grow past O(ranges·BlockRows·K).
+		chans[p] = make(chan gaussBlock, 2)
+	}
+
+	go func() {
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		owner := 0
+		for bs := 0; bs < hi; bs += cfg.BlockRows {
+			nb := cfg.BlockRows
+			if bs+nb > hi {
+				nb = hi - bs
+			}
+			bufp := pool.Get().(*[]float32)
+			buf := (*bufp)[:nb*cfg.K]
+			for i := range buf {
+				buf[i] = float32(rng.NormFloat64())
+			}
+			if bs+nb <= lo {
+				pool.Put(bufp)
+				continue
+			}
+			for bounds[owner][1] <= max(bs, lo) {
+				owner++
+			}
+			chans[owner] <- gaussBlock{start: bs, nb: nb, buf: bufp}
+		}
+		for _, ch := range chans {
+			close(ch)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for p := range bounds {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for blk := range chans[p] {
+				buf := (*blk.buf)[:blk.nb*cfg.K]
+				rlo := max(blk.start, bounds[p][0])
+				rhi := min(blk.start+blk.nb, bounds[p][1])
+				eachColumn(d, cfg.Workers, func(j int) {
+					col := cols[j]
+					dots := out[p][j].Dots
+					mean := means[j]
+					for r := rlo; r < rhi && r < len(col); r++ {
+						v := col[r]
+						if math.IsNaN(v) {
+							continue // mean-imputed: centered value is 0
+						}
+						v -= mean
+						if v == 0 {
+							continue
+						}
+						g := buf[(r-blk.start)*cfg.K : (r-blk.start+1)*cfg.K]
+						for q, gv := range g {
+							dots[q] += v * float64(gv)
+						}
+					}
+				})
+				pool.Put(blk.buf)
+			}
+		}(p)
+	}
+	wg.Wait()
 	return out
 }
 

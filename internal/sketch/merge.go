@@ -5,22 +5,17 @@ import (
 	"math"
 	"math/rand"
 	"time"
-
-	"foresight/internal/frame"
-	"foresight/internal/stats"
 )
 
-// Partitioned preprocessing: §3's sketches are all mergeable, so the
-// preprocessing pass can run over disjoint row partitions (chunks of
-// a file, shards of a table) and combine the partial sketches. This
-// file implements the per-partition build and the profile merge, and
-// is exercised against the single-pass builder in tests.
+// The profile merge: §3's sketches are all mergeable, so partial
+// profiles of disjoint row ranges (shards of a build, the appended
+// rows of an Extend) combine into the profile of their union.
 
 // Merge folds another profile built over a *disjoint row partition of
 // the same dataset with the same configuration* into p. Sketches
 // merge pairwise; the shared row sample and per-column row-sample
 // gathers are NOT merged (they index global rows) and must be rebuilt
-// by the caller — BuildProfilePartitioned does so.
+// by the caller — BuildProfileSharded and Extend do so.
 func (p *DatasetProfile) Merge(other *DatasetProfile) error {
 	if other == nil {
 		return nil
@@ -133,199 +128,4 @@ func mergeReservoirs(a, b *Reservoir, seed int64) *Reservoir {
 	}
 	out.n = total
 	return out
-}
-
-// buildRangeSketches builds the row-local partial sketches of rows
-// [start, end) of f: moments, quantiles, value samples, heavy hitters
-// and distinct counts — everything in a partial profile except the
-// shared-direction projections, which need global centering and are
-// filled in by the caller. Zero-copy row views feed the update loops,
-// so a shard touches only its own window of each column. Per-column
-// sketch seeds are salted with the range start, so a given
-// (cfg, partitioning) is deterministic while distinct ranges draw
-// independent compaction/sampling coins.
-func buildRangeSketches(f *frame.Frame, cfg ProfileConfig, start, end int) *DatasetProfile {
-	p := &DatasetProfile{
-		Rows:        end - start,
-		Numeric:     make(map[string]*NumericProfile),
-		Categorical: make(map[string]*CategoricalProfile),
-		RowSample:   &RowSample{},
-		Config:      cfg,
-	}
-	for i, nc := range f.NumericColumns() {
-		np := &NumericProfile{
-			Name:      nc.Name(),
-			Quantiles: NewKLL(cfg.KLLSize, cfg.Seed+int64(i)*7+2+int64(start)),
-			Sample:    NewReservoir(cfg.SampleSize, cfg.Seed+int64(i)*7+3+int64(start)),
-		}
-		for _, v := range nc.ValuesRange(start, end) {
-			if math.IsNaN(v) {
-				continue
-			}
-			np.Moments.Add(v)
-			np.Quantiles.Update(v)
-			np.Sample.Update(v)
-		}
-		p.Numeric[nc.Name()] = np
-	}
-	for _, cc := range f.CategoricalColumns() {
-		cp := &CategoricalProfile{
-			Name:        cc.Name(),
-			Heavy:       NewSpaceSaving(cfg.HeavyCapacity),
-			Distinct:    NewKMV(cfg.KMVSize),
-			Cardinality: cc.Cardinality(),
-			Dict:        cc.Dict(),
-		}
-		dict := cc.Dict()
-		for _, code := range cc.CodesRange(start, end) {
-			if code < 0 {
-				continue
-			}
-			item := dict[code]
-			cp.Heavy.Update(item)
-			cp.Distinct.Update(item)
-			cp.Rows++
-		}
-		p.Categorical[cc.Name()] = cp
-	}
-	return p
-}
-
-// buildPartitionProfile builds the partial profile of rows
-// [start, end) of f, centering projections by the provided global
-// means so partials are merge-compatible.
-func buildPartitionProfile(f *frame.Frame, cfg ProfileConfig, start, end int, means map[string]float64) *DatasetProfile {
-	p := buildRangeSketches(f, cfg, start, end)
-	numeric := f.NumericColumns()
-	cols := make([][]float64, len(numeric))
-	colMeans := make([]float64, len(numeric))
-	for i, nc := range numeric {
-		cols[i] = nc.Values()
-		colMeans[i] = means[nc.Name()]
-	}
-	projections := projectColumnsRange(cols, colMeans, f.Rows(), start, end,
-		ProjectConfig{K: cfg.K, Seed: cfg.Seed + 101, Workers: cfg.Workers})
-	for i, nc := range numeric {
-		np := p.Numeric[nc.Name()]
-		np.Proj = projections[i]
-		np.ProjCenter = colMeans[i]
-		np.Planes = HyperplaneFromProjection(projections[i])
-	}
-	return p
-}
-
-// projectColumnsRange is ProjectColumns restricted to rows
-// [start, end): directions for the full stream are generated from the
-// seed in order (so partitions agree on the direction of every global
-// row), but only rows in range accumulate.
-func projectColumnsRange(cols [][]float64, means []float64, rows, start, end int, cfg ProjectConfig) []*Projection {
-	cfg.fill()
-	d := len(cols)
-	out := make([]*Projection, d)
-	for j := range out {
-		out[j] = &Projection{Dots: make([]float64, cfg.K), Rows: end - start, Seed: cfg.Seed}
-	}
-	if d == 0 || rows == 0 || start >= end {
-		return out
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	block := make([]float32, cfg.BlockRows*cfg.K)
-	for blockStart := 0; blockStart < rows && blockStart < end; blockStart += cfg.BlockRows {
-		blockEnd := blockStart + cfg.BlockRows
-		if blockEnd > rows {
-			blockEnd = rows
-		}
-		nb := blockEnd - blockStart
-		for i := 0; i < nb*cfg.K; i++ {
-			block[i] = float32(rng.NormFloat64())
-		}
-		if blockEnd <= start {
-			continue // before the partition: directions consumed, no work
-		}
-		eachColumn(d, cfg.Workers, func(j int) {
-			col := cols[j]
-			dots := out[j].Dots
-			mean := means[j]
-			for r := 0; r < nb; r++ {
-				idx := blockStart + r
-				if idx < start || idx >= end || idx >= len(col) {
-					continue
-				}
-				v := col[idx]
-				if math.IsNaN(v) {
-					continue
-				}
-				v -= mean
-				if v == 0 {
-					continue
-				}
-				g := block[r*cfg.K : (r+1)*cfg.K]
-				for q, gv := range g {
-					dots[q] += v * float64(gv)
-				}
-			}
-		})
-	}
-	return out
-}
-
-// BuildProfilePartitioned preprocesses f in `parts` row partitions
-// and merges the partial profiles — functionally equivalent to
-// BuildProfile (hyperplane estimates match exactly up to
-// floating-point associativity) while demonstrating §3's mergeable-
-// sketch pipeline. The global per-column means needed for centered
-// projections come from a cheap first moments pass. Rank (Spearman)
-// projections are not built in partitioned mode — ranks are a global
-// transform.
-func BuildProfilePartitioned(f *frame.Frame, cfg ProfileConfig, parts int) *DatasetProfile {
-	defer observeSince("build.partitioned", time.Now())
-	cfg.fill(f.Rows())
-	cfg.Spearman = false
-	if f.Rows() == 0 {
-		// No rows means no partitions: the per-partition loop below
-		// would divide by zero and leave merged nil. The one-pass
-		// builder handles the empty frame (found by
-		// FuzzProfileRoundTrip).
-		return BuildProfile(f, cfg)
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > f.Rows() {
-		parts = f.Rows()
-	}
-	// Pass 1: global means.
-	means := make(map[string]float64, len(f.NumericColumns()))
-	for _, nc := range f.NumericColumns() {
-		means[nc.Name()] = stats.Mean(nc.Values())
-	}
-	// Pass 2: per-partition partials, merged left to right.
-	var merged *DatasetProfile
-	per := (f.Rows() + parts - 1) / parts
-	for start := 0; start < f.Rows(); start += per {
-		end := start + per
-		if end > f.Rows() {
-			end = f.Rows()
-		}
-		part := buildPartitionProfile(f, cfg, start, end, means)
-		if merged == nil {
-			merged = part
-			continue
-		}
-		if err := merged.Merge(part); err != nil {
-			// Partitions are constructed compatible by this function;
-			// a mismatch is a programming error.
-			panic(err)
-		}
-	}
-	// Rebuild the global row sample and per-column gathers.
-	merged.RowSample = NewRowSample(f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
-	for _, nc := range f.NumericColumns() {
-		merged.Numeric[nc.Name()].RowSampleValues = merged.RowSample.GatherFloats(nc.Values())
-	}
-	for _, cc := range f.CategoricalColumns() {
-		merged.Categorical[cc.Name()].RowSampleCodes = merged.RowSample.GatherCodes(cc.Codes())
-	}
-	merged.Rows = f.Rows()
-	return merged
 }

@@ -1,81 +1,10 @@
 package sketch
 
 import (
-	"math"
 	"testing"
 
 	"foresight/internal/frame"
-	"foresight/internal/stats"
 )
-
-func TestPartitionedProfileMatchesSinglePass(t *testing.T) {
-	f := testFrame(12000, 41)
-	cfg := ProfileConfig{Seed: 6, K: 256}
-	single := BuildProfile(f, cfg)
-	parted := BuildProfilePartitioned(f, cfg, 4)
-
-	if parted.Rows != single.Rows {
-		t.Fatalf("rows = %d, want %d", parted.Rows, single.Rows)
-	}
-	for name, snp := range single.Numeric {
-		pnp := parted.Numeric[name]
-		if pnp == nil {
-			t.Fatalf("numeric %q missing", name)
-		}
-		// Moments: merged running sums equal the single pass within fp
-		// associativity.
-		if math.Abs(pnp.Moments.Mean-snp.Moments.Mean) > 1e-9*math.Max(1, math.Abs(snp.Moments.Mean)) {
-			t.Errorf("%s: mean %v vs %v", name, pnp.Moments.Mean, snp.Moments.Mean)
-		}
-		if pnp.Moments.Count() != snp.Moments.Count() {
-			t.Errorf("%s: count %d vs %d", name, pnp.Moments.Count(), snp.Moments.Count())
-		}
-		relTol := 1e-6 * math.Max(1, math.Abs(snp.Moments.Variance()))
-		if math.Abs(pnp.Moments.Variance()-snp.Moments.Variance()) > relTol {
-			t.Errorf("%s: variance %v vs %v", name, pnp.Moments.Variance(), snp.Moments.Variance())
-		}
-		// Projections: identical directions, so dots agree to fp noise.
-		for i := range snp.Proj.Dots {
-			d := math.Abs(pnp.Proj.Dots[i] - snp.Proj.Dots[i])
-			if d > 1e-6*math.Max(1, math.Abs(snp.Proj.Dots[i])) {
-				t.Fatalf("%s: dot %d differs: %v vs %v", name, i, pnp.Proj.Dots[i], snp.Proj.Dots[i])
-			}
-		}
-		// KLL quantiles: merged sketch stays within its error bounds.
-		for _, q := range []float64{0.25, 0.5, 0.75} {
-			exact := stats.Quantile(fColumn(t, f, name), q)
-			got := pnp.Quantiles.Quantile(q)
-			spread := snp.Moments.StdDev()
-			if spread > 0 && math.Abs(got-exact) > 0.25*spread {
-				t.Errorf("%s: merged q%v = %v, exact %v", name, q, got, exact)
-			}
-		}
-	}
-	// Hyperplane correlation estimates effectively identical.
-	for _, pair := range [][2]string{{"x", "y"}, {"x", "z"}} {
-		a, _ := single.EstimatePearson(pair[0], pair[1])
-		b, _ := parted.EstimatePearson(pair[0], pair[1])
-		if math.Abs(a-b) > 0.05 {
-			t.Errorf("pearson(%v): partitioned %v vs single %v", pair, b, a)
-		}
-	}
-	// Categorical sketches merged.
-	sc := single.Categorical["cat"]
-	pc := parted.Categorical["cat"]
-	if pc.Rows != sc.Rows {
-		t.Errorf("cat rows: %d vs %d", pc.Rows, sc.Rows)
-	}
-	if math.Abs(pc.Heavy.RelFreqTopK(3)-sc.Heavy.RelFreqTopK(3)) > 0.02 {
-		t.Errorf("cat relfreq: %v vs %v", pc.Heavy.RelFreqTopK(3), sc.Heavy.RelFreqTopK(3))
-	}
-	if rel := math.Abs(pc.Distinct.Distinct()-sc.Distinct.Distinct()) / math.Max(sc.Distinct.Distinct(), 1); rel > 0.05 {
-		t.Errorf("cat distinct: %v vs %v", pc.Distinct.Distinct(), sc.Distinct.Distinct())
-	}
-	// Row sample rebuilt at the global level.
-	if parted.RowSample.Len() != single.RowSample.Len() {
-		t.Errorf("row sample len %d vs %d", parted.RowSample.Len(), single.RowSample.Len())
-	}
-}
 
 func fColumn(t *testing.T, f *frame.Frame, name string) []float64 {
 	t.Helper()
@@ -84,25 +13,6 @@ func fColumn(t *testing.T, f *frame.Frame, name string) []float64 {
 		t.Fatal(err)
 	}
 	return c.Values()
-}
-
-func TestPartitionedEdgeCases(t *testing.T) {
-	f := testFrame(100, 42)
-	// One partition = plain build shape.
-	p1 := BuildProfilePartitioned(f, ProfileConfig{Seed: 1, K: 32}, 1)
-	if p1.Rows != 100 {
-		t.Errorf("rows = %d", p1.Rows)
-	}
-	// More partitions than rows.
-	p2 := BuildProfilePartitioned(f, ProfileConfig{Seed: 1, K: 32}, 1000)
-	if p2.Rows != 100 {
-		t.Errorf("rows = %d", p2.Rows)
-	}
-	// parts < 1 coerced.
-	p3 := BuildProfilePartitioned(f, ProfileConfig{Seed: 1, K: 32}, 0)
-	if p3.Rows != 100 {
-		t.Errorf("rows = %d", p3.Rows)
-	}
 }
 
 func TestProfileMergeErrors(t *testing.T) {

@@ -15,21 +15,16 @@ import (
 //
 // Reported operations:
 //
-//	build              one full BuildProfile pass
-//	build.numeric      the per-column numeric sketch pass
-//	build.project      the shared-direction projection pass
-//	build.spearman     the rank projections (when enabled)
-//	build.categorical  the categorical sketch pass
-//	build.partitioned  one full BuildProfilePartitioned pass
-//	build.sharded      one full BuildProfileSharded pass
-//	build.shard        the concurrent per-shard sketch phase
-//	build.merge        the shard partials' tree reduction
-//	extend             one DatasetProfile.Extend call
-//	extend.sharded     one DatasetProfile.ExtendSharded call
-//	merge              one DatasetProfile.Merge call
+//	build           one full BuildProfile / BuildProfileSharded pass
+//	build.shard     the range builder's row-local sketch phase
+//	build.project   the range builder's shared-direction projections
+//	build.spearman  the rank projections (when enabled)
+//	build.merge     the range builder's tree reduction of shard partials
+//	extend          one DatasetProfile.Extend call
+//	merge           one DatasetProfile.Merge call
 //
-// (build.project and build.spearman are reported by the sharded
-// builder too, timing its pipelined projection phases.)
+// build.shard, build.project and build.merge time the range builder
+// (buildRange), so Extend reports them too, for its appended rows.
 
 // TimingFunc receives one timed sketch operation.
 type TimingFunc func(op string, d time.Duration)

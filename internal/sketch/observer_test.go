@@ -23,21 +23,37 @@ func TestTimingObserver(t *testing.T) {
 
 	f := datagen.Scalable(datagen.ScalableConfig{Rows: 500, NumericCols: 4, CatCols: 2, Seed: 3})
 	_ = BuildProfile(f, ProfileConfig{Seed: 1, Spearman: true})
-	for _, op := range []string{"build", "build.numeric", "build.project", "build.spearman", "build.categorical"} {
-		if got[op] != 1 {
-			t.Errorf("op %s observed %d times, want 1", op, got[op])
+	want := map[string]int{"build": 1, "build.shard": 1, "build.project": 1, "build.spearman": 1, "build.merge": 1}
+	mu.Lock()
+	for op, n := range want {
+		if got[op] != n {
+			t.Errorf("op %s observed %d times, want %d", op, got[op], n)
 		}
 	}
+	mu.Unlock()
 
-	// Partitioned build reports its merges too.
-	_ = BuildProfilePartitioned(f, ProfileConfig{Seed: 1}, 3)
+	// A three-shard build and an Extend report merges; nothing outside
+	// the documented phase set is ever reported.
+	big := datagen.Scalable(datagen.ScalableConfig{Rows: 3 * 4096, NumericCols: 2, CatCols: 1, Seed: 3})
+	p := BuildProfileSharded(big, ProfileConfig{Seed: 1}, 3)
+	if _, err := p.Extend(big, 0); err != nil {
+		t.Fatal(err)
+	}
 	mu.Lock()
 	defer mu.Unlock()
-	if got["build.partitioned"] != 1 {
-		t.Errorf("build.partitioned observed %d times, want 1", got["build.partitioned"])
+	if got["build"] != 2 || got["extend"] != 1 {
+		t.Errorf("build observed %d times, extend %d; want 2 and 1", got["build"], got["extend"])
 	}
-	if got["merge"] < 2 {
-		t.Errorf("merge observed %d times, want ≥2 for 3 partitions", got["merge"])
+	// Two tree merges for three shards, plus Extend's fold.
+	if got["merge"] != 3 {
+		t.Errorf("merge observed %d times, want 3", got["merge"])
+	}
+	documented := map[string]bool{"build": true, "build.shard": true, "build.project": true,
+		"build.spearman": true, "build.merge": true, "extend": true, "merge": true}
+	for op := range got {
+		if !documented[op] {
+			t.Errorf("undocumented phase %q reported", op)
+		}
 	}
 }
 

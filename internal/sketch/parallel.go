@@ -17,7 +17,7 @@ import (
 //
 // fn must only touch state owned by index i, which makes results
 // identical at any worker count. Despite the name, any independent
-// index space may fan out through here — the sharded builder uses it
+// index space may fan out through here — the range builder uses it
 // for row shards and merge pairs too.
 func eachColumn(n, workers int, fn func(i int)) {
 	if workers < 0 {

@@ -2,33 +2,28 @@ package sketch
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"foresight/internal/frame"
 	"foresight/internal/stats"
 )
 
-// Sharded data-parallel preprocessing: BuildProfilePartitioned proves
-// the §3 merge operators are correct, but it builds partitions one
-// after another. This file makes the same decomposition fast — the
-// frame's row range is split into contiguous shards, partial profiles
-// build concurrently over zero-copy row views, and the partials
-// reduce through the merge operators in a fixed binary-tree order, so
-// the result is reproducible given (frame, cfg, shards).
+// One profile builder. §3's sketches are all mergeable, so a one-pass
+// build, a parallel build and a streaming append are the same
+// operation: sketch a row range, then merge. buildRange is that
+// operation. It splits the range into contiguous shards, builds each
+// shard's row-local sketches concurrently over zero-copy row views,
+// projects every shard through one producer/consumer projection
+// kernel (projectRanges), and reduces the shard partials with the
+// merge operators in a fixed binary-tree order (mergeTree), so the
+// result is reproducible given (frame, cfg, range, shards).
 //
-// The delicate part is the projection pass. All shards must consume
-// the *same* Gaussian direction stream (one direction vector per
-// global row, generated sequentially from the seed), or their
-// Projections would not be summable. A single producer goroutine
-// generates direction blocks in stream order and hands each block to
-// the one shard that owns it; shard interiors are aligned to block
-// boundaries so no block straddles two shards. Generation (~n·k
-// Gaussian draws) pipelines with accumulation (~n·k·d multiply-adds
-// across shards), so wall time approaches
-// max(generate, accumulate/shards) instead of their sum.
+// The entry points are thin: BuildProfileSharded is buildRange over
+// [0, n) plus the state that ranks, indexes or labels the whole frame;
+// BuildProfile is BuildProfileSharded with one shard; Extend is
+// buildRange over the appended rows, merged into a clone of the
+// profile.
 
 // resolveShards applies the sketch layer's uniform parallelism
 // convention to a shard count: 0 and 1 mean sequential, negative
@@ -81,295 +76,233 @@ func shardBounds(lo, hi, shards, blockRows int) [][2]int {
 	return bounds
 }
 
-// gaussBlock is one row block of the shared Gaussian direction
-// stream: nb·K row-major float32 draws covering global rows
-// [start, start+nb). The buffer is pooled; the consumer returns it
-// after accumulating.
-type gaussBlock struct {
-	start int
-	nb    int
-	buf   *[]float32
-}
-
-// shardedProjections computes, for every shard range in bounds, the
-// per-column Projections of that shard's rows — using direction
-// vectors identical to what ProjectColumns would generate for the
-// whole frame, so shard Projections sum to the sequential result up
-// to floating-point associativity. One producer generates direction
-// blocks in stream order from a single rng (determinism) and routes
-// each block to its owning shard's channel; shard consumers
-// accumulate concurrently. Returned as out[shard][column].
-func shardedProjections(cols [][]float64, means []float64, totalRows int, bounds [][2]int, cfg ProjectConfig) [][]*Projection {
-	cfg.fill()
-	d := len(cols)
-	out := make([][]*Projection, len(bounds))
-	for p := range out {
-		out[p] = make([]*Projection, d)
-		for j := range out[p] {
-			out[p][j] = &Projection{
-				Dots: make([]float64, cfg.K),
-				Rows: bounds[p][1] - bounds[p][0],
-				Seed: cfg.Seed,
-			}
-		}
-	}
-	if d == 0 || len(bounds) == 0 || totalRows == 0 {
-		return out
-	}
-	lo, hi := bounds[0][0], bounds[len(bounds)-1][1]
-
-	pool := sync.Pool{New: func() any {
-		s := make([]float32, cfg.BlockRows*cfg.K)
-		return &s
-	}}
-	chans := make([]chan gaussBlock, len(bounds))
-	for p := range chans {
-		// Small buffer: lets the producer run ahead a little without
-		// letting memory grow past O(shards·BlockRows·K).
-		chans[p] = make(chan gaussBlock, 2)
-	}
-
-	go func() {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		owner := 0
-		for bs := 0; bs < totalRows && bs < hi; bs += cfg.BlockRows {
-			be := bs + cfg.BlockRows
-			if be > totalRows {
-				be = totalRows
-			}
-			nb := be - bs
-			bufp := pool.Get().(*[]float32)
-			buf := (*bufp)[:nb*cfg.K]
-			for i := range buf {
-				buf[i] = float32(rng.NormFloat64())
-			}
-			if be <= lo {
-				// Before the range: draws consumed to keep the stream
-				// aligned, but no shard needs the block.
-				pool.Put(bufp)
-				continue
-			}
-			first := bs
-			if first < lo {
-				first = lo
-			}
-			for owner < len(bounds) && bounds[owner][1] <= first {
-				owner++
-			}
-			chans[owner] <- gaussBlock{start: bs, nb: nb, buf: bufp}
-		}
-		for _, ch := range chans {
-			close(ch)
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for p := range bounds {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			start, end := bounds[p][0], bounds[p][1]
-			for blk := range chans[p] {
-				buf := (*blk.buf)[:blk.nb*cfg.K]
-				rlo, rhi := blk.start, blk.start+blk.nb
-				if rlo < start {
-					rlo = start
-				}
-				if rhi > end {
-					rhi = end
-				}
-				for j := 0; j < d; j++ {
-					col := cols[j]
-					dots := out[p][j].Dots
-					mean := means[j]
-					for r := rlo; r < rhi && r < len(col); r++ {
-						v := col[r]
-						if math.IsNaN(v) {
-							continue // mean-imputed: centered value is 0
-						}
-						v -= mean
-						if v == 0 {
-							continue
-						}
-						g := buf[(r-blk.start)*cfg.K : (r-blk.start+1)*cfg.K]
-						for q, gv := range g {
-							dots[q] += v * float64(gv)
-						}
-					}
-				}
-				pool.Put(blk.buf)
-			}
-		}(p)
-	}
-	wg.Wait()
-	return out
-}
-
-// mergeProfileTree reduces shard partials with the §3 merge operators
-// in a fixed binary-tree order: in each round, the partial at index i
-// absorbs the partial `stride` to its right, and the stride doubles.
-// The reduction order depends only on len(parts), so the result is
-// reproducible; pairs within a round are independent and merge
-// concurrently. parts is consumed.
-func mergeProfileTree(parts []*DatasetProfile, workers int) *DatasetProfile {
-	if len(parts) == 0 {
-		return nil
-	}
-	for stride := 1; stride < len(parts); stride *= 2 {
+// mergeTree reduces n partials in a fixed binary-tree order: in each
+// round, index i absorbs index i+stride, and the stride doubles, so
+// the result lands at index 0 and the order depends only on n. Pairs
+// within a round are independent and run over `workers`.
+func mergeTree(n, workers int, merge func(dst, src int)) {
+	for stride := 1; stride < n; stride *= 2 {
 		var pairs [][2]int
-		for i := 0; i+stride < len(parts); i += 2 * stride {
+		for i := 0; i+stride < n; i += 2 * stride {
 			pairs = append(pairs, [2]int{i, i + stride})
 		}
 		eachColumn(len(pairs), workers, func(j int) {
-			dst, src := pairs[j][0], pairs[j][1]
-			if err := parts[dst].Merge(parts[src]); err != nil {
-				// Shard partials are constructed compatible by this file;
-				// a mismatch is a programming error.
-				panic(err)
-			}
+			merge(pairs[j][0], pairs[j][1])
 		})
 	}
-	return parts[0]
 }
 
-// shardedPartial builds the partial profile of rows [lo, hi) using
-// `shards` concurrent shard builders and a tree reduction —
-// semantically the same partial buildPartitionProfile produces for
-// the range, which it falls back to when the range spans at most one
-// direction block. Projections are centered by the provided global
-// means. The caller rebuilds row samples; Spearman rank projections
-// (a global transform) are the caller's concern too.
-func shardedPartial(f *frame.Frame, cfg ProfileConfig, lo, hi int, means map[string]float64, shards int) *DatasetProfile {
+// buildRange builds the partial profile of rows [lo, hi) of f from up
+// to `shards` block-aligned shards. Projections are centered on
+// centers (one per numeric column, in frame order); nil centers them
+// on the range's own column means, taken from the merged shard
+// Moments. The partial carries no row sample, gathers or rank
+// projections: those index or rank the whole frame, so the caller
+// rebuilds them (indexRows). An empty range yields a zero-row partial.
+func buildRange(f *frame.Frame, cfg ProfileConfig, lo, hi, shards int, centers []float64) *DatasetProfile {
 	projCfg := ProjectConfig{K: cfg.K, Seed: cfg.Seed + 101, Workers: cfg.Workers}
 	projCfg.fill()
 	bounds := shardBounds(lo, hi, shards, projCfg.BlockRows)
-	if len(bounds) <= 1 {
-		return buildPartitionProfile(f, cfg, lo, hi, means)
+	if len(bounds) == 0 {
+		bounds = [][2]int{{lo, hi}}
 	}
 
-	// Phase 1 — row-local sketches, one goroutine per shard.
-	shardStart := time.Now()
+	start := time.Now()
 	parts := make([]*DatasetProfile, len(bounds))
 	eachColumn(len(bounds), shards, func(p int) {
 		parts[p] = buildRangeSketches(f, cfg, bounds[p][0], bounds[p][1])
 	})
-	observeSince("build.shard", shardStart)
+	observeSince("build.shard", start)
 
-	// Phase 2 — shared-direction projections, pipelined across shards.
-	projStart := time.Now()
+	start = time.Now()
 	numeric := f.NumericColumns()
 	cols := make([][]float64, len(numeric))
-	colMeans := make([]float64, len(numeric))
 	for i, nc := range numeric {
 		cols[i] = nc.Values()
-		colMeans[i] = means[nc.Name()]
 	}
-	shardProj := shardedProjections(cols, colMeans, f.Rows(), bounds, projCfg)
+	if centers == nil {
+		centers = make([]float64, len(numeric))
+		moments := make([]Moments, len(parts))
+		for i, nc := range numeric {
+			for p := range parts {
+				moments[p] = parts[p].Numeric[nc.Name()].Moments
+			}
+			mergeTree(len(moments), 1, func(dst, src int) { moments[dst].Merge(moments[src]) })
+			centers[i] = moments[0].Mean
+		}
+	}
+	proj := projectRanges(cols, centers, bounds, projCfg)
 	for p := range parts {
 		for i, nc := range numeric {
 			np := parts[p].Numeric[nc.Name()]
-			np.Proj = shardProj[p][i]
-			np.ProjCenter = colMeans[i]
+			np.Proj = proj[p][i]
+			np.ProjCenter = centers[i]
 			np.Planes = HyperplaneFromProjection(np.Proj)
 		}
 	}
-	observeSince("build.project", projStart)
+	observeSince("build.project", start)
 
-	// Phase 3 — deterministic tree reduction.
-	mergeStart := time.Now()
-	merged := mergeProfileTree(parts, shards)
-	observeSince("build.merge", mergeStart)
-	return merged
+	start = time.Now()
+	mergeTree(len(parts), shards, func(dst, src int) {
+		if err := parts[dst].Merge(parts[src]); err != nil {
+			// Shard partials share cfg and centers; a mismatch is a
+			// programming error.
+			panic(err)
+		}
+	})
+	observeSince("build.merge", start)
+	return parts[0]
 }
 
-// BuildProfileSharded is BuildProfile with the row range split into
-// `shards` contiguous shards built concurrently and reduced with the
-// §3 merge operators (see the file comment). The result is
-// reproducible given (frame, cfg, shards) — reduction order is a
-// fixed tree — and agrees with BuildProfile on every exact statistic
-// (moments, row counts, cardinalities) while sketch-derived scores
-// drift only within sketch error (benchmarked in E13). Shard counts
-// follow the uniform convention: 0 or 1 delegates to BuildProfile —
-// the bit-identical sequential path — and negative means GOMAXPROCS
-// (reproducible per machine).
-func BuildProfileSharded(f *frame.Frame, cfg ProfileConfig, shards int) *DatasetProfile {
-	shards = resolveShards(shards)
-	if shards <= 1 || f.Rows() == 0 {
-		return BuildProfile(f, cfg)
+// buildRangeSketches builds the row-local sketches of rows
+// [start, end) of f: moments, quantiles, value samples, heavy hitters
+// and distinct counts — everything in a partial profile except the
+// shared-direction projections, which buildRange fills in. Zero-copy
+// row views feed the update loops, so a shard touches only its own
+// window of each column; columns fan out over cfg.Workers. Per-column
+// sketch seeds are salted with the range start, so a given
+// (cfg, range) is deterministic while distinct ranges draw independent
+// compaction/sampling coins.
+func buildRangeSketches(f *frame.Frame, cfg ProfileConfig, start, end int) *DatasetProfile {
+	p := &DatasetProfile{
+		Rows:        end - start,
+		Numeric:     make(map[string]*NumericProfile),
+		Categorical: make(map[string]*CategoricalProfile),
+		RowSample:   &RowSample{},
+		Config:      cfg,
 	}
-	defer observeSince("build.sharded", time.Now())
-	cfg.fill(f.Rows())
-
-	// Global means (cheap first pass, parallel across columns): every
-	// shard centers projections by the same value so partials stay
-	// merge-compatible (DatasetProfile.Merge enforces this).
 	numeric := f.NumericColumns()
-	meanByCol := make([]float64, len(numeric))
-	eachColumn(len(numeric), shards, func(i int) {
-		meanByCol[i] = stats.Mean(numeric[i].Values())
+	nps := make([]*NumericProfile, len(numeric))
+	eachColumn(len(numeric), cfg.Workers, func(i int) {
+		np := &NumericProfile{
+			Name:      numeric[i].Name(),
+			Quantiles: NewKLL(cfg.KLLSize, cfg.Seed+int64(i)*7+2+int64(start)),
+			Sample:    NewReservoir(cfg.SampleSize, cfg.Seed+int64(i)*7+3+int64(start)),
+		}
+		for _, v := range numeric[i].ValuesRange(start, end) {
+			if math.IsNaN(v) {
+				continue
+			}
+			np.Moments.Add(v)
+			np.Quantiles.Update(v)
+			np.Sample.Update(v)
+		}
+		nps[i] = np
 	})
-	means := make(map[string]float64, len(numeric))
-	for i, nc := range numeric {
-		means[nc.Name()] = meanByCol[i]
+	for _, np := range nps {
+		p.Numeric[np.Name] = np
 	}
+	categorical := f.CategoricalColumns()
+	cps := make([]*CategoricalProfile, len(categorical))
+	eachColumn(len(categorical), cfg.Workers, func(i int) {
+		cc := categorical[i]
+		cp := &CategoricalProfile{
+			Name:        cc.Name(),
+			Heavy:       NewSpaceSaving(cfg.HeavyCapacity),
+			Distinct:    NewKMV(cfg.KMVSize),
+			Cardinality: cc.Cardinality(),
+			Dict:        cc.Dict(),
+		}
+		dict := cc.Dict()
+		for _, code := range cc.CodesRange(start, end) {
+			if code < 0 {
+				continue
+			}
+			item := dict[code]
+			cp.Heavy.Update(item)
+			cp.Distinct.Update(item)
+			cp.Rows++
+		}
+		cps[i] = cp
+	})
+	for _, cp := range cps {
+		p.Categorical[cp.Name] = cp
+	}
+	return p
+}
 
-	merged := shardedPartial(f, cfg, 0, f.Rows(), means, shards)
+// indexRows rebuilds the state of p that indexes or labels the whole
+// of f and so cannot come from merged partials: the shared row sample,
+// every column's gather at it, and the categorical cardinalities and
+// dictionaries (appends can introduce new labels).
+func (p *DatasetProfile) indexRows(f *frame.Frame, workers int) {
+	p.RowSample = NewRowSample(f.Rows(), p.Config.RowSampleSize, p.Config.Seed+1)
+	numeric := f.NumericColumns()
+	eachColumn(len(numeric), workers, func(i int) {
+		p.Numeric[numeric[i].Name()].RowSampleValues = p.RowSample.GatherFloats(numeric[i].Values())
+	})
+	categorical := f.CategoricalColumns()
+	eachColumn(len(categorical), workers, func(i int) {
+		cc := categorical[i]
+		cp := p.Categorical[cc.Name()]
+		cp.RowSampleCodes = p.RowSample.GatherCodes(cc.Codes())
+		cp.Cardinality = cc.Cardinality()
+		cp.Dict = append([]string(nil), cc.Dict()...)
+	})
+	p.Rows = f.Rows()
+}
+
+// BuildProfileSharded preprocesses f with its row range split into
+// `shards` block-aligned shards built concurrently and reduced with
+// the §3 merge operators (see the file comment). The result is
+// reproducible given (frame, cfg, shards). Shard counts follow the
+// uniform convention: 0 or 1 is the sequential build (BuildProfile),
+// negative means GOMAXPROCS (reproducible per machine). Frames of at
+// most one direction block never split, so every shard count builds
+// them byte-identically to BuildProfile; larger frames agree with it
+// on every exact statistic (moments, row counts, cardinalities) while
+// sketch-derived scores drift only within sketch error (benchmarked
+// in E13).
+func BuildProfileSharded(f *frame.Frame, cfg ProfileConfig, shards int) *DatasetProfile {
+	defer observeSince("build", time.Now())
+	cfg.fill(f.Rows())
+	shards = resolveShards(shards)
+	// Column loops outside the shard fan-out parallelize over the
+	// shards when the build is split, over cfg.Workers otherwise.
+	workers := cfg.Workers
+	if shards > 1 {
+		workers = shards
+	}
+	p := buildRange(f, cfg, 0, f.Rows(), shards, nil)
+	numeric := f.NumericColumns()
 
 	// Spearman rank projections: ranking is a global transform, so the
-	// rank columns are computed once and projected sharded; the shard
-	// Projections fold left-to-right (deterministic) into the merged
-	// profile directly.
+	// rank columns are computed whole and projected as one range.
 	if cfg.Spearman && len(numeric) > 0 {
-		spearmanStart := time.Now()
+		start := time.Now()
 		rankCols := make([][]float64, len(numeric))
 		rankMeans := make([]float64, len(numeric))
-		eachColumn(len(numeric), shards, func(i int) {
+		eachColumn(len(numeric), workers, func(i int) {
 			rankCols[i] = stats.Ranks(numeric[i].Values())
 			rankMeans[i] = stats.Mean(rankCols[i])
 		})
-		rankCfg := ProjectConfig{K: cfg.K, Seed: cfg.Seed + 211, Workers: cfg.Workers}
-		rankCfg.fill()
-		rankBounds := shardBounds(0, f.Rows(), shards, rankCfg.BlockRows)
-		rankShard := shardedProjections(rankCols, rankMeans, f.Rows(), rankBounds, rankCfg)
+		rankProj := ProjectColumns(rankCols, rankMeans, f.Rows(),
+			ProjectConfig{K: cfg.K, Seed: cfg.Seed + 211, Workers: workers})
 		for i, nc := range numeric {
-			np := merged.Numeric[nc.Name()]
-			total := rankShard[0][i]
-			for p := 1; p < len(rankShard); p++ {
-				if err := total.Merge(rankShard[p][i]); err != nil {
-					panic(err)
-				}
-			}
-			np.RankProj = total
-			np.RankPlanes = HyperplaneFromProjection(total)
+			np := p.Numeric[nc.Name()]
+			np.RankProj = rankProj[i]
+			np.RankPlanes = HyperplaneFromProjection(rankProj[i])
 		}
-		observeSince("build.spearman", spearmanStart)
+		observeSince("build.spearman", start)
 	}
 
-	// Rebuild the global row sample and per-column gathers (they index
-	// global rows, so shard-local versions are not mergeable), and the
-	// per-column value reservoirs: merging shard reservoirs yields a
-	// valid uniform sample but a *different* one than the sequential
-	// pass, and sample-driven scores (outlier mean distance, dip) are
-	// noisy enough that the resample shows up as score drift. The whole
-	// column is in memory, so an O(n) replay with the sequential
-	// builder's seed reproduces its reservoir bit for bit instead.
-	merged.RowSample = NewRowSample(f.Rows(), cfg.RowSampleSize, cfg.Seed+1)
-	eachColumn(len(numeric), shards, func(i int) {
-		np := merged.Numeric[numeric[i].Name()]
-		np.RowSampleValues = merged.RowSample.GatherFloats(numeric[i].Values())
-		sample := NewReservoir(cfg.SampleSize, cfg.Seed+int64(i)*7+3)
-		for _, v := range numeric[i].Values() {
-			if !math.IsNaN(v) {
-				sample.Update(v)
+	// Merging shard reservoirs yields a valid uniform sample but a
+	// different one than the one-shard pass, and sample-driven scores
+	// (outlier mean distance, dip) are noisy enough that the resample
+	// shows up as score drift. The whole column is in memory, so an
+	// O(n) replay with the one-shard seed reproduces its reservoir bit
+	// for bit instead.
+	if shards > 1 {
+		eachColumn(len(numeric), workers, func(i int) {
+			sample := NewReservoir(cfg.SampleSize, cfg.Seed+int64(i)*7+3)
+			for _, v := range numeric[i].Values() {
+				if !math.IsNaN(v) {
+					sample.Update(v)
+				}
 			}
-		}
-		np.Sample = sample
-	})
-	categorical := f.CategoricalColumns()
-	eachColumn(len(categorical), shards, func(i int) {
-		merged.Categorical[categorical[i].Name()].RowSampleCodes =
-			merged.RowSample.GatherCodes(categorical[i].Codes())
-	})
-	merged.Rows = f.Rows()
-	return merged
+			p.Numeric[numeric[i].Name()].Sample = sample
+		})
+	}
+	p.indexRows(f, workers)
+	return p
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"foresight/internal/datagen"
+	"foresight/internal/frame"
 	"foresight/internal/stats"
 )
 
@@ -142,6 +144,9 @@ func TestShardedProfileMatchesSinglePass(t *testing.T) {
 			exact[dict[code]]++
 		}
 	}
+	if math.Abs(pc.Heavy.RelFreqTopK(3)-sc.Heavy.RelFreqTopK(3)) > 0.02 {
+		t.Errorf("cat relfreq: %v vs %v", pc.Heavy.RelFreqTopK(3), sc.Heavy.RelFreqTopK(3))
+	}
 	for _, hh := range pc.Heavy.Top(5) {
 		truth := exact[hh.Item]
 		if hh.Count < truth {
@@ -174,8 +179,8 @@ func TestShardedBuildDeterministic(t *testing.T) {
 	}
 }
 
-// shards = 0 and 1 delegate to the sequential builder — bit-identical
-// output, so flipping -build-shards off reproduces today's profiles.
+// shards = 0 and 1 are the sequential builder — bit-identical output,
+// so flipping -build-shards off reproduces today's profiles.
 func TestShardedZeroIsSequential(t *testing.T) {
 	f := testFrame(9000, 49)
 	cfg := ProfileConfig{Seed: 3, K: 64, Spearman: true}
@@ -184,6 +189,20 @@ func TestShardedZeroIsSequential(t *testing.T) {
 		got := saveBytes(t, BuildProfileSharded(f, cfg, shards))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("shards=%d not bit-identical to sequential build", shards)
+		}
+	}
+}
+
+// Frames of at most one direction block never split, so every shard
+// count builds exactly the one-shard profile.
+func TestShardedSmallFramesMatchSequential(t *testing.T) {
+	for _, f := range []*frame.Frame{datagen.Parkinson(0, 42), datagen.OECD(0, 42)} {
+		cfg := ProfileConfig{Seed: 42, Spearman: true}
+		want := saveBytes(t, BuildProfile(f, cfg))
+		for _, shards := range []int{2, 4, -1} {
+			if got := saveBytes(t, BuildProfileSharded(f, cfg, shards)); !bytes.Equal(got, want) {
+				t.Errorf("%s: shards=%d not bit-identical to sequential build", f.Name(), shards)
+			}
 		}
 	}
 }
@@ -198,10 +217,12 @@ func TestShardedEdgeCases(t *testing.T) {
 	if got := p.Numeric["x"].Moments.Count(); got != 100 {
 		t.Errorf("count = %d", got)
 	}
-	// Negative = GOMAXPROCS.
-	p2 := BuildProfileSharded(small, ProfileConfig{Seed: 1, K: 32}, -1)
-	if p2.Rows != 100 {
-		t.Errorf("rows = %d", p2.Rows)
+	// More shards than rows, negative (= GOMAXPROCS) and 0 (sequential).
+	for _, shards := range []int{1000, -1, 0} {
+		p2 := BuildProfileSharded(small, ProfileConfig{Seed: 1, K: 32}, shards)
+		if p2.Rows != 100 {
+			t.Errorf("shards=%d: rows = %d", shards, p2.Rows)
+		}
 	}
 	// Multi-block frame with shards ≫ blocks still tiles correctly.
 	mid := testFrame(10000, 51)
@@ -224,11 +245,11 @@ func TestExtendShardedMatchesExtend(t *testing.T) {
 	cfg := ProfileConfig{Seed: 6, K: 256}
 	p := BuildProfile(base, cfg)
 
-	seq, err := p.Extend(f)
+	seq, err := p.Extend(f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := p.ExtendSharded(f, 4)
+	sh, err := p.Extend(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +273,12 @@ func TestExtendShardedMatchesExtend(t *testing.T) {
 			}
 		}
 	}
-	// shards = 0/1 is exactly the sequential delta.
-	sh0, err := p.ExtendSharded(f, 0)
+	// shards = 0 and 1 are the same sequential delta.
+	sh1, err := p.Extend(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saveBytes(t, sh0), saveBytes(t, seq)) {
-		t.Fatal("ExtendSharded(0) not bit-identical to Extend")
+	if !bytes.Equal(saveBytes(t, sh1), saveBytes(t, seq)) {
+		t.Fatal("Extend(f, 1) not bit-identical to Extend(f, 0)")
 	}
 }

@@ -383,10 +383,11 @@ func fuzzProfileConfig(z *fz) sketch.ProfileConfig {
 	}
 }
 
-// FuzzProfileRoundTrip builds profiles one-pass and partitioned
-// (reaching merged boundary states: KLL levels freshly grown by
-// merge, SpaceSaving counters trimmed after over-capacity merges,
-// empty reservoirs from all-missing partitions), persists each, and
+// FuzzProfileRoundTrip builds profiles one-pass and partitioned — a
+// zero-row base extended through `parts` cut points (reaching merged
+// boundary states: KLL levels freshly grown by merge, SpaceSaving
+// counters trimmed after over-capacity merges, empty reservoirs from
+// all-missing or zero-row partitions), persists each, and
 // requires the reloaded profile — and Clone — to answer every query
 // identically, while both continue to satisfy the ground-truth
 // invariants.
@@ -399,6 +400,14 @@ func FuzzProfileRoundTrip(f *testing.F) {
 		cfg := fuzzProfileConfig(z)
 		parts := 1 + int(z.byte()%5)
 		fr := fuzzFrame(z, rows)
+		cuts := make([]int, parts)
+		for i := range cuts {
+			cuts[i] = i * rows / parts
+		}
+		parted, err := extendChain(fr, cfg, cuts)
+		if err != nil {
+			t.Fatalf("extendChain: %v", err)
+		}
 
 		r := &Report{}
 		for _, build := range []struct {
@@ -406,7 +415,7 @@ func FuzzProfileRoundTrip(f *testing.F) {
 			p     *sketch.DatasetProfile
 		}{
 			{"one-pass", sketch.BuildProfile(fr, cfg)},
-			{"partitioned", sketch.BuildProfilePartitioned(fr, cfg, parts)},
+			{"partitioned", parted},
 		} {
 			CheckProfileInvariants(r, build.p, fr)
 			rt := RunProfile(fr, build.p)
@@ -426,10 +435,10 @@ func FuzzProfileRoundTrip(f *testing.F) {
 // FuzzExtendVsRebuild profiles a prefix of the frame, folds the
 // remaining rows in via the Extend delta-merge, and checks (a) the
 // extended profile still satisfies every ground-truth invariant for
-// the full frame, (b) ExtendSharded agrees with Extend exactly on
-// sub-block frames (both take the sequential delta path), and (c) the
-// exact statistics — counts, min/max, KMV distinct — match a from-
-// scratch rebuild precisely, since their merges admit no drift.
+// the full frame, (b) a two-shard Extend agrees with the sequential
+// one exactly on sub-block frames (appends that small never split),
+// and (c) the exact statistics — counts, min/max, KMV distinct — match
+// a from-scratch rebuild precisely, since their merges admit no drift.
 func FuzzExtendVsRebuild(f *testing.F) {
 	f.Add([]byte{16, 0, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18})
 	f.Add([]byte{2, 0, 1, 0, 255, 255, 254, 255, 253, 255, 0, 0, 9, 9})
@@ -445,13 +454,13 @@ func FuzzExtendVsRebuild(f *testing.F) {
 		}
 
 		base := sketch.BuildProfile(prefix, cfg)
-		ext, err := base.Extend(full)
+		ext, err := base.Extend(full, 0)
 		if err != nil {
 			t.Fatalf("Extend: %v", err)
 		}
-		extSh, err := base.ExtendSharded(full, 2)
+		extSh, err := base.Extend(full, 2)
 		if err != nil {
-			t.Fatalf("ExtendSharded: %v", err)
+			t.Fatalf("Extend(2 shards): %v", err)
 		}
 
 		r := &Report{}

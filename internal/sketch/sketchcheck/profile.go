@@ -245,7 +245,7 @@ func hittersEqual(a, b []sketch.HeavyHitter) bool {
 //     build path is benchmarked against;
 //   - Pearson estimates are gated only when sameCenters is true, i.e.
 //     both builds centered projections on the full-data means
-//     (partitioned/sharded vs one-pass). Extend keeps the base
+//     (sharded vs one-pass). Extend keeps the base
 //     profile's prefix-mean centers — a documented live-ingest
 //     tradeoff — so against a from-scratch rebuild it is a *different
 //     estimator* whose drift is unbounded on mean-shifting columns,

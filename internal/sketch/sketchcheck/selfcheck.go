@@ -13,11 +13,8 @@ import (
 type Config struct {
 	// Profile sizes the sketches; zero fields take the usual defaults.
 	Profile sketch.ProfileConfig
-	// Parts is the partition count for the BuildProfilePartitioned
-	// path (default 3 — odd, so merges see unequal partials).
-	Parts int
-	// Shards is the shard count for BuildProfileSharded /
-	// ExtendSharded (default 4).
+	// Shards is the shard count for BuildProfileSharded and the
+	// sharded Extend (default 4).
 	Shards int
 	// ExtendFrac is the fraction of rows profiled before the Extend
 	// delta-merge folds in the rest (default 0.85, matching the live
@@ -30,9 +27,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Parts <= 0 {
-		c.Parts = 3
-	}
 	if c.Shards == 0 {
 		c.Shards = 4
 	}
@@ -46,11 +40,11 @@ func (c *Config) fill() {
 
 // Run executes the full invariant suite against live profiles of f:
 // it builds the sketch store along every path the codebase uses —
-// one-pass, partitioned merge, sharded merge tree, Extend delta-merge
-// (sequential and sharded) — checks each against ground truth
-// (CheckProfileInvariants), checks persist→load and Clone for query
-// identity, and gates the alternate paths against the sequential
-// build (CheckProfilesCompatible). The returned report holds every
+// one-pass, a chain of appends merged one partial at a time, sharded
+// merge tree, Extend delta-merge (sequential and sharded) — checks
+// each against ground truth (CheckProfileInvariants), checks
+// persist→load and Clone for query identity, and gates the alternate
+// paths against the sequential build (CheckProfilesCompatible). The returned report holds every
 // violation found.
 func Run(f *frame.Frame, cfg Config) *Report {
 	r := &Report{}
@@ -74,11 +68,16 @@ func Run(f *frame.Frame, cfg Config) *Report {
 	// Clone must answer queries identically.
 	CheckProfileQueryIdentity(r, "clone", seq, seq.Clone())
 
-	// Partitioned build: the §3 merge operators, sequentially.
-	pcfg := cfg.Profile
-	part := sketch.BuildProfilePartitioned(f, pcfg, cfg.Parts)
-	CheckProfileInvariants(r, part, f)
-	CheckProfilesCompatible(r, "partitioned", seq, part, cfg.ScoreTol, true)
+	// Partitioned build: the §3 merge operators, sequentially, over
+	// three unequal partials (a first third, then two appends). The
+	// projections keep the first third's centers, so Pearson is not
+	// gated against the one-pass build (see CheckProfilesCompatible).
+	if part, err := extendChain(f, cfg.Profile, []int{f.Rows() / 3, 2 * f.Rows() / 3}); err != nil {
+		r.Fail("partitioned/extend", "extendChain: %v", err)
+	} else {
+		CheckProfileInvariants(r, part, f)
+		CheckProfilesCompatible(r, "partitioned", seq, part, cfg.ScoreTol, false)
+	}
 
 	// Sharded build: the same merge operators, concurrently, reduced
 	// through a binary tree.
@@ -96,16 +95,16 @@ func Run(f *frame.Frame, cfg Config) *Report {
 			return r
 		}
 		base := sketch.BuildProfile(prefix, cfg.Profile)
-		ext, err := base.Extend(f)
+		ext, err := base.Extend(f, 0)
 		if err != nil {
 			r.Fail("extend/extend", "Extend: %v", err)
 		} else {
 			CheckProfileInvariants(r, ext, f)
 			CheckProfilesCompatible(r, "extend", seq, ext, cfg.ScoreTol, false)
 		}
-		extSh, err := base.ExtendSharded(f, cfg.Shards)
+		extSh, err := base.Extend(f, cfg.Shards)
 		if err != nil {
-			r.Fail("extend/extend-sharded", "ExtendSharded: %v", err)
+			r.Fail("extend/extend-sharded", "Extend(%d shards): %v", cfg.Shards, err)
 		} else {
 			CheckProfileInvariants(r, extSh, f)
 			CheckProfilesCompatible(r, "extend-sharded", seq, extSh, cfg.ScoreTol, false)
@@ -132,6 +131,27 @@ func RunProfile(f *frame.Frame, p *sketch.DatasetProfile) *Report {
 	}
 	CheckProfileQueryIdentity(r, "persist", p, loaded)
 	return r
+}
+
+// extendChain profiles the first cuts[0] rows of f, then folds in the
+// rest with one sequential Extend per segment — up to each later cut
+// point, then to f.Rows(). Cut points must ascend within [0, f.Rows()];
+// equal cut points append empty segments, which still merge.
+func extendChain(f *frame.Frame, cfg sketch.ProfileConfig, cuts []int) (*sketch.DatasetProfile, error) {
+	prefix, err := PrefixFrame(f, cuts[0])
+	if err != nil {
+		return nil, err
+	}
+	p := sketch.BuildProfile(prefix, cfg)
+	for _, cut := range append(append([]int(nil), cuts[1:]...), f.Rows()) {
+		if prefix, err = PrefixFrame(f, cut); err != nil {
+			return nil, err
+		}
+		if p, err = p.Extend(prefix, 0); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // PrefixFrame returns a frame holding the first rows rows of f with
